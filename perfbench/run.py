@@ -29,6 +29,9 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    parser.add_argument("--clients", type=int, default=1,
+                        help="serve_rw client connections (default 1; "
+                             "more make reads and writes race)")
     return parser.parse_args(argv)
 
 
@@ -45,8 +48,8 @@ def stop_resource_tracker() -> None:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    if args.seconds <= 0:
-        print("--seconds must be > 0", file=sys.stderr)
+    if args.seconds <= 0 or args.clients < 1:
+        print("--seconds must be > 0 and --clients >= 1", file=sys.stderr)
         return 2
     if not (ROOT / "src" / "repro" / "__init__.py").is_file():
         print(f"engine sources not found under {ROOT / 'src'}",
@@ -63,11 +66,13 @@ def main(argv=None) -> int:
 
     if args.workload == "serve_rw":
         from perfbench import serve_workload as module
+        options = {"clients": args.clients}
     else:
         from perfbench import engine_workloads as module
+        options = {}
     try:
         report = module.run(args.workload, args.seed, args.seconds,
-                            bool(args.trace))
+                            bool(args.trace), **options)
     finally:
         stop_resource_tracker()
     for line in report.table():

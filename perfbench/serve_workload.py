@@ -1,18 +1,23 @@
-"""``serve_rw``: two clients read and write through the JSON-lines server.
+"""``serve_rw``: a client reads and writes through the JSON-lines server.
 
 An in-process :class:`~repro.serve.SkylineServer` with ``max_inflight``
 equal to the CPU count and its default tenant config listens on
-loopback.  Two client connections run a closed loop over a 3-dim table
+loopback.  One client connection runs a closed loop over a 3-dim table
 of 20k rows.  Reads are preference-subset skyline queries shaped like
 ``repro.bench.serving.QUERY_MIX``; one op in eight is a single-row
 insert or delete.  Each write bumps the catalog version, which the plan
 cache key includes, and may invalidate result-cache entries, so a gain
 for reads that costs writes (or the reverse) shows.
 
+One client keeps runs steady: the server's query threads share the GIL
+with the loop that times the ops, so with two clients a cache hit's
+latency depends on whether the other client's query is executing.
+``--clients 2`` runs two connections, whose reads and writes race.
+
 Answers are checked after the loop.  Writes touch distinct rows, so
 they commute: the table a read saw is fixed by how many of each
 client's writes the server had applied.  A client's own earlier writes
-were all applied; of the other client's, at least those acknowledged
+were all applied; of another client's, at least those acknowledged
 before the read was sent and at most those sent before its answer came
 back.  A read is right when it equals the oracle's skyline of one of
 those table states.
@@ -37,11 +42,17 @@ from .report import (RunReport, TimingSummary, TracedPhase, layer_metrics,
                      reconciliation)
 
 SERVE_ROWS = 20_000
-CLIENTS = 2
+CLIENTS = 1
 
-#: The reads of one block of ops; with the block's one write, one op
-#: in eight is a write.  The 1-dim queries are rewritten by the
-#: optimizer and bypass the result cache.
+#: The reads of one block of ops, in order, after the block's one
+#: write: one op in eight is a write.  Every read but the last re-plans,
+#: since the write bumped the catalog version; the last is the plan
+#: cache's hit.  The 3-dim read hits the result cache exactly unless the
+#: write invalidated its entry, the 2-dim reads refilter that entry, and
+#: the 1-dim reads are rewritten by the optimizer and bypass the result
+#: cache.  The fixed order gives every seed the same share of reads in
+#: each of these modes, so p50 falls among the refilter hits and p90
+#: among the 1-dim executions.
 READ_BLOCK = (("a", "b", "c"), ("a", "b"), ("b", "c"), ("a", "c"),
               ("a",), ("c",), ("a", "b", "c"))
 WRITE_EVERY = len(READ_BLOCK) + 1
@@ -91,35 +102,31 @@ def initial_rows(seed: int) -> "list[tuple]":
              rng.uniform(0, 1000)) for i in range(SERVE_ROWS)]
 
 
-def client_ops(seed: int, client: int, rows: "list[tuple]"):
-    """The endless seeded op stream of one client.
+def client_ops(seed: int, client: int, clients: int,
+               rows: "list[tuple]"):
+    """The endless seeded op stream of one of ``clients`` clients.
 
-    Ops come in blocks of :data:`WRITE_EVERY`: one write and one read
-    of each entry of :data:`READ_BLOCK`, in seeded order, so every seed
-    runs the same mix.  Writes alternate insert and delete; inserted ids
-    and deleted rows are disjoint across clients, so writes commute.
+    Ops come in blocks of :data:`WRITE_EVERY`: one write, then one read
+    of each entry of :data:`READ_BLOCK`.  The seed picks the written
+    rows.  Writes alternate insert and delete; inserted ids and deleted
+    rows are disjoint across clients, so writes commute.
     """
     rng = random.Random(f"{seed}/{client}")
-    victims = [row for row in rows if row[0] % CLIENTS == client]
+    victims = [row for row in rows if row[0] % clients == client]
     rng.shuffle(victims)
     writes = 0
     while True:
-        block: "list[Op | None]" = [Op("read", prefs=p) for p in READ_BLOCK]
-        block.append(None)
-        rng.shuffle(block)
-        for op in block:
-            if op is not None:
-                yield op
-                continue
-            if writes % 2 == 0:
-                values = [rng.uniform(0, 1000) for _ in range(3)]
-                if writes % (2 * ATTRACTIVE_EVERY) == 0:
-                    values[rng.randrange(3)] = -rng.uniform(0, 1)
-                new_id = SERVE_ROWS + writes * CLIENTS + client
-                yield Op("insert", row=(new_id, *values))
-            else:
-                yield Op("delete", row=victims[writes // 2])
-            writes += 1
+        if writes % 2 == 0:
+            values = [rng.uniform(0, 1000) for _ in range(3)]
+            if writes % (2 * ATTRACTIVE_EVERY) == 0:
+                values[rng.randrange(3)] = -rng.uniform(0, 1)
+            new_id = SERVE_ROWS + writes * clients + client
+            yield Op("insert", row=(new_id, *values))
+        else:
+            yield Op("delete", row=victims[writes // 2])
+        writes += 1
+        for prefs in READ_BLOCK:
+            yield Op("read", prefs=prefs)
 
 
 @dataclass
@@ -128,13 +135,19 @@ class Record:
     op: Op
     sent: float
     received: float
-    response: dict
+    #: The reply line, parsed when checked: thousands of parsed replies
+    #: held through the run would slow the server's garbage collection.
+    reply: bytes
     #: Client writes applied before this op was sent.
     own_writes: int
 
     @property
     def latency(self) -> float:
         return self.received - self.sent
+
+    @functools.cached_property
+    def response(self) -> dict:
+        return json.loads(self.reply)
 
 
 @dataclass
@@ -146,10 +159,13 @@ class Client:
     records: "list[Record]" = field(default_factory=list)
     writes_done: int = 0
 
-    async def call(self, request: dict) -> dict:
+    async def send(self, request: dict) -> bytes:
         self.writer.write(json.dumps(request).encode() + b"\n")
         await self.writer.drain()
-        return json.loads(await self.reader.readline())
+        return await self.reader.readline()
+
+    async def call(self, request: dict) -> dict:
+        return json.loads(await self.send(request))
 
     async def loop(self, seconds: float, min_reads: int,
                    trace_ids: bool) -> None:
@@ -164,9 +180,9 @@ class Client:
             if trace_ids:
                 request["trace_id"] = f"{self.cid}:{len(self.records)}"
             sent = time.perf_counter()
-            response = await self.call(request)
+            reply = await self.send(request)
             self.records.append(Record(self.cid, op, sent,
-                                       time.perf_counter(), response,
+                                       time.perf_counter(), reply,
                                        self.writes_done))
             if op.kind == "read":
                 reads += 1
@@ -178,7 +194,7 @@ class Client:
         await self.writer.wait_closed()
 
 
-async def _setup(rows, seed: int):
+async def _setup(rows, seed: int, n_clients: int):
     """Server start, client connections, table load over the wire and
     the first query; returns (server, clients, seconds)."""
     from repro.serve import SkylineServer
@@ -187,11 +203,11 @@ async def _setup(rows, seed: int):
     server = SkylineServer(max_inflight=nproc())
     host, port = await server.start()
     clients = []
-    for cid in range(CLIENTS):
+    for cid in range(n_clients):
         reader, writer = await asyncio.open_connection(host, port,
                                                        limit=1 << 24)
         clients.append(Client(cid, reader, writer,
-                              client_ops(seed, cid, rows)))
+                              client_ops(seed, cid, n_clients, rows)))
     loader = clients[0]
     for offset in range(0, len(rows), LOAD_CHUNK):
         chunk = [list(row) for row in rows[offset:offset + LOAD_CHUNK]]
@@ -256,13 +272,14 @@ def _cache_event(cache, event) -> None:
     type(cache).on_catalog_event(cache, event)
 
 
-async def _measure(seed: int, seconds: float, trace: bool, report):
+async def _measure(seed: int, seconds: float, trace: bool, n_clients: int,
+                   report):
     rows = initial_rows(seed)
     server = clients = None
     for _ in range(SETUPS):
         if server is not None:
             await _shutdown(server, clients)
-        server, clients, took = await _setup(rows, seed)
+        server, clients, took = await _setup(rows, seed, n_clients)
         report.setup.append(took)
 
     traced = None
@@ -270,8 +287,9 @@ async def _measure(seed: int, seconds: float, trace: bool, report):
         if not trace:
             before = await _stats(clients[0])
             start = time.perf_counter()
-            await asyncio.gather(*(c.loop(seconds, MIN_OPS_FOR_P90 // 2,
-                                          False) for c in clients))
+            min_reads = -(-MIN_OPS_FOR_P90 // n_clients)
+            await asyncio.gather(*(c.loop(seconds, min_reads, False)
+                                   for c in clients))
             wall = time.perf_counter() - start
             after = await _stats(clients[0])
             records = [r for c in clients for r in c.records]
@@ -386,8 +404,9 @@ class StateOracle:
 def check(rows, records, tally: Tally) -> None:
     """Count every record into ``tally``: failed and refused ops, and
     reads matching none of the table states they could have seen."""
+    clients = 1 + max((r.client for r in records), default=0)
     by_client = [sorted((r for r in records if r.client == c),
-                        key=lambda r: r.sent) for c in range(CLIENTS)]
+                        key=lambda r: r.sent) for c in range(clients)]
     writes = [[r.op for r in recs if r.op.kind != "read"]
               for recs in by_client]
     write_times = [[(r.sent, r.received) for r in recs
@@ -409,7 +428,7 @@ def check(rows, records, tally: Tally) -> None:
             continue
         got = [tuple(row) for row in response["rows"]]
         options = []
-        for c in range(CLIENTS):
+        for c in range(clients):
             if c == record.client:
                 options.append([record.own_writes])
                 continue
@@ -433,10 +452,11 @@ def check(rows, records, tally: Tally) -> None:
 # ---------------------------------------------------------------------------
 
 
-def run(name: str, seed: int, seconds: float, trace: bool) -> RunReport:
+def run(name: str, seed: int, seconds: float, trace: bool,
+        clients: int = CLIENTS) -> RunReport:
     report = RunReport(name, trace)
     rows, records, wall, before, after, traced = asyncio.run(
-        _measure(seed, seconds, trace, report))
+        _measure(seed, seconds, trace, clients, report))
     check(rows, records, report.tally)
 
     ok = [r for r in records if r.response.get("ok")]
@@ -454,7 +474,7 @@ def run(name: str, seed: int, seconds: float, trace: bool) -> RunReport:
     cache = delta["cache"]
     lookups = cache["exact_hits"] + cache["refilter_hits"] + cache["misses"]
     report.notes = [
-        f"closed loop, {CLIENTS} clients on loopback, max_inflight "
+        f"closed loop, {clients} client(s) on loopback, max_inflight "
         f"{nproc()}, table pts: {SERVE_ROWS} rows x 3 dims, "
         f"1 op in {WRITE_EVERY} a single-row insert or delete",
         f"reads: {len(hits)} result-cache hits "

@@ -183,7 +183,8 @@ def test_a_corrupted_engine_answer_counts_and_fails_the_run():
 
 
 def _record(client, op, sent, received, response, own=0):
-    return serve_workload.Record(client, op, sent, received, response, own)
+    return serve_workload.Record(client, op, sent, received,
+                                 json.dumps(response).encode(), own)
 
 
 def test_serve_check_flags_a_corrupted_read_and_a_refused_op():
