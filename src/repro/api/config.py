@@ -20,14 +20,10 @@ from __future__ import annotations
 import dataclasses
 import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from ..core.vectorized import numpy_available
 from ..engine.backends import BACKEND_NAMES, Backend, RetryPolicy
 from ..engine.cluster import ClusterConfig
-
-if TYPE_CHECKING:  # pragma: no cover
-    pass
 
 
 def _validate_vectorized(vectorized: "bool | str") -> None:
@@ -146,21 +142,6 @@ class SessionConfig:
         ``False``.  Only takes effect with ``backend="process"`` and
         the columnar data plane; EXPLAIN marks each batch stage
         ``[shm]`` or ``[pickle]``.
-    execution:
-        Physical execution mode for the local skyline phase:
-        ``"staged"`` (bulk-synchronous operator barriers),
-        ``"pipelined"`` (morsel-driven operator overlap with
-        per-operator memory budgets, backpressure and out-of-core
-        spill), or ``"auto"`` (the cost model pipelines when a
-        parallel backend and enough rows make overlap pay).  EXPLAIN
-        marks pipelined stages ``[pipelined]``; the global phase is
-        staged either way.
-    operator_memory_mb:
-        Per-operator memory budget (MB) for the pipelined executor:
-        an operator whose buffered input exceeds the budget
-        backpressures its upstream, and a scan whose working set
-        exceeds it spills morsels to disk, reloading them on demand.
-        ``None`` uses the built-in default.
     """
 
     num_executors: int = 2
@@ -181,14 +162,11 @@ class SessionConfig:
     global_merge: str = "auto"
     merge_fan_in: "int | None" = None
     shared_memory: "bool | str" = "auto"
-    execution: str = "auto"
-    operator_memory_mb: "float | None" = None
 
     def __post_init__(self) -> None:
         # Imported here: repro.plan imports repro.engine, which must not
         # circularly depend on the api package at import time.
-        from ..plan.planner import (EXECUTION_MODES,
-                                    GLOBAL_MERGE_STRATEGIES,
+        from ..plan.planner import (GLOBAL_MERGE_STRATEGIES,
                                     PARTITIONING_SCHEMES,
                                     SKYLINE_STRATEGIES)
 
@@ -242,13 +220,6 @@ class SessionConfig:
             raise ValueError(
                 f"shared_memory must be True, False or 'auto', got "
                 f"{self.shared_memory!r}")
-        if self.execution not in EXECUTION_MODES:
-            raise ValueError(
-                f"unknown execution {self.execution!r}; expected one "
-                f"of {EXECUTION_MODES}")
-        if self.operator_memory_mb is not None and \
-                self.operator_memory_mb <= 0:
-            raise ValueError("operator_memory_mb must be > 0")
 
     # -- derived views ----------------------------------------------------
 
@@ -308,8 +279,6 @@ class SessionConfig:
             self.global_merge,
             self.merge_fan_in,
             self.shared_memory_enabled,
-            self.execution,
-            self.operator_memory_mb,
         )
 
     def retry_policy(self) -> RetryPolicy:

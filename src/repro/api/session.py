@@ -24,6 +24,7 @@ from ..engine.catalog import Catalog, ForeignKey, Table
 from ..engine.cluster import ClusterConfig, ExecutionContext
 from ..engine.row import Field, Row, Schema, infer_schema
 from ..engine.types import DOUBLE, INTEGER, STRING
+from ..errors import AnalysisError
 from ..plan.analyzer import Analyzer
 from ..plan.logical import (AnalyzeTable, LocalRelation, LogicalPlan,
                             tree_string)
@@ -42,6 +43,15 @@ def _deprecated(old: str, new: str) -> None:
     warnings.warn(
         f"{old} is deprecated; use {new} instead",
         DeprecationWarning, stacklevel=3)
+
+
+def _require_plan(plan: object) -> None:
+    """Reject anything but a logical plan at the session's front door
+    (a SQL string would otherwise fail deep inside the analyzer)."""
+    if not isinstance(plan, LogicalPlan):
+        raise AnalysisError(
+            f"expected a LogicalPlan, got {type(plan).__name__}; use "
+            f"session.sql(...) to turn SQL text into a query")
 
 
 @dataclass
@@ -82,21 +92,6 @@ class QueryResult:
         (strategy, fan-in, merge tree, per-round task counts, shortcut
         counters); ``None`` for non-skyline queries."""
         return getattr(self.context, "global_merge", None)
-
-    @property
-    def time_to_first_batch_s(self) -> "float | None":
-        """Wall-clock seconds from execution start until the first
-        local-skyline partial was produced (pipelined: the first fold
-        completing; staged: the first skyline stage finishing).
-        ``None`` when no skyline stage ran."""
-        return getattr(self.context, "time_to_first_batch_s", None)
-
-    @property
-    def pipeline(self) -> "dict | None":
-        """The pipelined executor's report for this execution (waves,
-        per-operator batch/stall/spill/peak counters); ``None`` when
-        the query ran staged."""
-        return getattr(self.context, "pipeline", None)
 
 
 @dataclass
@@ -483,10 +478,7 @@ class SkylineSession:
             vectorized=self.vectorized_enabled,
             columnar=self.columnar_enabled,
             global_merge=self.config.global_merge,
-            merge_fan_in=self.config.merge_fan_in,
-            execution=self.config.execution,
-            operator_memory_mb=self.config.operator_memory_mb,
-            backend=spec.name)
+            merge_fan_in=self.config.merge_fan_in)
 
     _ANALYZE_SCHEMA = Schema([
         Field("table_name", STRING, False),
@@ -560,6 +552,7 @@ class SkylineSession:
         stores prepared queries across sessions with equal
         :meth:`~repro.api.config.SessionConfig.fingerprint`.
         """
+        _require_plan(plan)
         analyzed = self.analyze(plan)
         optimized = self.optimize(analyzed)
         planner = self._planner()
@@ -578,7 +571,6 @@ class SkylineSession:
                                retry_policy=self.config.retry_policy(),
                                shm_store=store)
         ctx.set_budget(self._time_budget_s)
-        ctx.mark_execution_start()
         try:
             rdd = prepared.physical.execute(ctx)
             rows = [Row(values, prepared.schema)
@@ -592,6 +584,7 @@ class SkylineSession:
 
     def execute(self, plan: LogicalPlan) -> QueryResult:
         """Run the full pipeline on a logical plan."""
+        _require_plan(plan)
         command = self._run_command(plan)
         if command is not None:
             return command
@@ -616,6 +609,7 @@ class SkylineSession:
         ``cost-based`` sessions, and with the forced configuration
         otherwise).
         """
+        _require_plan(plan)
         if isinstance(plan, AnalyzeTable):
             return "== Command ==\n" + plan.node_description()
         analyzed = self.analyze(plan)
@@ -637,10 +631,6 @@ class SkylineSession:
         if planner.merge_decisions:
             sections.append("== Global Merge ==")
             sections.extend(d.describe() for d in planner.merge_decisions)
-        if planner.execution_decisions:
-            sections.append("== Execution ==")
-            sections.extend(d.describe()
-                            for d in planner.execution_decisions)
         return "\n".join(sections)
 
 

@@ -75,10 +75,6 @@ class RunResult:
     #: measured counterpart of the *simulated* makespan, used to validate
     #: executor-scaling curves against actual parallel speedups.
     real_time_s: float = float("nan")
-    #: Wall-clock seconds from execution start until the first local
-    #: skyline partial was available -- the pipelined executor's
-    #: responsiveness metric (NaN when the engine did not report one).
-    time_to_first_batch_s: float = float("nan")
 
     @property
     def label(self) -> str:
@@ -156,11 +152,7 @@ def run_query(workload, algorithm: Algorithm, num_dimensions: int,
             dominance_comparisons=result.context.dominance_comparisons,
             wall_time_s=elapsed, timed_out=timed_out,
             backend=session.backend.name,
-            real_time_s=result.real_time_s,
-            time_to_first_batch_s=(
-                result.time_to_first_batch_s
-                if result.time_to_first_batch_s is not None
-                else float("nan")))
+            real_time_s=result.real_time_s)
     finally:
         if own_session:
             session.close()

@@ -10,7 +10,7 @@ from .algorithms import (Algorithm, distributed_complete,
                          distributed_incomplete, make_dimensions,
                          non_distributed_complete, reference, sfs_complete,
                          skyline)
-from .bnl import bnl_skyline, bnl_skyline_incremental
+from .bnl import bnl_skyline
 from .dominance import (BoundDimension, DimensionKind, DominanceStats,
                         compare, dominates, dominates_incomplete,
                         equal_on_dimensions, has_null_dimension,
@@ -41,7 +41,6 @@ __all__ = [
     "prune_dominated_cells",
     "random_partitions",
     "bnl_skyline",
-    "bnl_skyline_incremental",
     "columnize",
     "compare",
     "distributed_complete",

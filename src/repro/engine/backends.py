@@ -268,32 +268,26 @@ def timed_invoke(func: Callable[..., Any], args: tuple,
 
     Top-level so that :class:`ProcessBackend` can pickle it; the duration
     is measured inside the worker, which is what the simulated-cluster
-    makespan model needs.  ``fault_key`` routes the call through the
-    deterministic fault injector (a crash decision here kills the
-    worker process for real).
+    makespan model needs (per-thread CPU time, see :func:`_timed_inline`).
+    ``fault_key`` routes the call through the deterministic fault
+    injector (a crash decision here kills the worker process for real).
     """
     if fault_key is not None:
         maybe_inject(fault_key, attempt, in_worker=True)
-    start = time.perf_counter()
+    start = time.thread_time()
     result = func(*args)
-    return TaskOutcome(result, time.perf_counter() - start)
+    return TaskOutcome(result, time.thread_time() - start)
 
 
 def _timed_inline(task: StageTask, attempt: int = 0) -> TaskOutcome:
-    maybe_inject(task.fault_key, attempt)
-    start = time.perf_counter()
-    result = task.run_inline()
-    return TaskOutcome(result, time.perf_counter() - start)
-
-
-def _timed_in_thread(task: StageTask, attempt: int = 0) -> TaskOutcome:
     """Inline execution timed with per-thread CPU time.
 
-    GIL contention makes wall-clock meaningless for concurrent
-    CPU-bound threads (N tasks each appear ~N times slower);
-    ``thread_time`` excludes time spent waiting for the GIL, keeping
-    recorded durations -- and hence the simulated makespan -- comparable
-    across backends for the CPU-bound skyline kernels.
+    Wall-clock is meaningless for CPU-bound tasks that do not own a
+    core: concurrent threads wait for the GIL (N tasks each appear ~N
+    times slower) and any task waits while the host runs other
+    processes.  ``thread_time`` excludes both, keeping recorded
+    durations -- and hence the simulated makespan -- comparable across
+    backends and across host load for the CPU-bound skyline kernels.
     """
     maybe_inject(task.fault_key, attempt)
     start = time.thread_time()
@@ -529,7 +523,7 @@ class ThreadBackend(_PooledBackend):
         try:
             for slot in slots:
                 slot.future = self.pool.submit(
-                    _timed_in_thread, slot.task, slot.attempt)
+                    _timed_inline, slot.task, slot.attempt)
             return [self._collect(slot, policy) for slot in slots]
         except BaseException:
             _abandon(f for slot in slots for f in slot.outstanding())
@@ -551,7 +545,7 @@ class ThreadBackend(_PooledBackend):
                 slot.attempt = _next_attempt(slot.task, slot.attempt,
                                              policy, exc)
                 slot.future = self.pool.submit(
-                    _timed_in_thread, slot.task, slot.attempt)
+                    _timed_inline, slot.task, slot.attempt)
                 continue
             outcome.attempts = slot.attempt + 1
             if slot.prev is not None and not slot.prev.done():
@@ -575,7 +569,7 @@ class ThreadBackend(_PooledBackend):
         slot.prev = slot.future
         slot.prev.add_done_callback(_observe)
         slot.future = self.pool.submit(
-            _timed_in_thread, slot.task, slot.attempt)
+            _timed_inline, slot.task, slot.attempt)
 
 
 class ProcessBackend(_PooledBackend):

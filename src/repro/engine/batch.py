@@ -67,8 +67,8 @@ _DTYPES = {F8: "float64", I8: "int64", B1: "bool"}
 
 #: Flat per-value byte estimate for ``obj`` (Python-list) columns:
 #: a pointer (8) plus a small-object payload allowance.  Deliberately
-#: deterministic -- the pipelined executor's memory budgets must not
-#: depend on ``sys.getsizeof`` details that vary across interpreters.
+#: deterministic -- tracked memory high-water marks must not depend on
+#: ``sys.getsizeof`` details that vary across interpreters.
 _OBJ_VALUE_BYTES = 48
 
 
@@ -405,9 +405,8 @@ class ColumnBatch:
     def nbytes(self) -> int:
         """Resident bytes across all columns (see :attr:`Column.nbytes`).
 
-        This is the unit the pipelined executor's byte-denominated
-        operator budgets, backpressure and spill accounting work in,
-        and what the execution context's tracked (non-simulated) memory
+        This is what batch-plane stage tasks report as ``bytes_in`` and
+        what the execution context's tracked (non-simulated) memory
         high-water marks sum up.
         """
         return sum(column.nbytes for column in self.columns)

@@ -3,8 +3,9 @@
 The paper evaluates on a YARN cluster (18 data nodes, up to 864 cores)
 and varies the number of *executors* handed to ``spark-submit``.  We
 reproduce this without a cluster: physical operators run their partition
-tasks in-process, but each task's wall time is measured individually and
-recorded in an :class:`ExecutionContext`.  The context then computes the
+tasks in-process, but each task's CPU time (per-thread, so neither GIL
+waits nor other processes on the host count) is measured individually
+and recorded in an :class:`ExecutionContext`.  The context then computes the
 **simulated distributed execution time**: for each stage, the recorded
 task durations are scheduled onto ``num_executors`` workers (longest-
 processing-time-first greedy, a classic makespan heuristic) and the stage
@@ -193,19 +194,11 @@ class ExecutionContext:
         self.global_merge: dict | None = None
         #: Tracked (non-simulated) per-operator memory high-water marks
         #: in bytes: stage/operator name -> max concurrently-resident
-        #: tracked payload bytes.  Fed by tasks carrying ``bytes_in``
-        #: and by the pipelined executor's queue accounting; empty when
-        #: nothing tracked bytes (e.g. the row plane).
+        #: tracked payload bytes.  Fed by tasks carrying ``bytes_in``;
+        #: empty when nothing tracked bytes (e.g. the row plane).
         self.operator_peaks: dict[str, int] = {}
-        #: Pipelined-execution report (operators, waves, spill and
-        #: stall accounting) -- filled in by
-        #: :mod:`repro.engine.pipeline`; ``None`` for staged queries.
+        #: Always ``None``: the removed pipelined executor's report slot.
         self.pipeline: dict | None = None
-        #: Wall-clock seconds from :meth:`mark_execution_start` until
-        #: the first skyline output batch existed.  ``None`` until
-        #: known (or for non-skyline queries).
-        self.time_to_first_batch_s: float | None = None
-        self._exec_start: float | None = None
 
     # -- deadline handling -------------------------------------------------
 
@@ -218,25 +211,7 @@ class ExecutionContext:
     def set_retry_policy(self, policy: RetryPolicy) -> None:
         self.retry_policy = policy
 
-    # -- memory + latency tracking ----------------------------------------
-
-    def mark_execution_start(self) -> None:
-        """Start the time-to-first-batch clock (set per execution)."""
-        self._exec_start = time.perf_counter()
-        self.time_to_first_batch_s = None
-
-    def note_first_batch(self) -> None:
-        """Record the first skyline output batch, once.
-
-        Staged stages call this implicitly from :meth:`run_stage` when a
-        ``SkylineLocal``/``SkylineGlobal`` stage completes (the whole
-        stage barrier *is* the first batch there); the pipelined driver
-        calls it the moment the first morsel fold finishes.
-        """
-        if self._exec_start is not None and \
-                self.time_to_first_batch_s is None:
-            self.time_to_first_batch_s = \
-                time.perf_counter() - self._exec_start
+    # -- memory tracking ---------------------------------------------------
 
     def record_memory(self, name: str, nbytes: int) -> None:
         """Fold one observation of tracked resident bytes for ``name``.
@@ -338,8 +313,6 @@ class ExecutionContext:
             # at the barrier, so the stage's high-water mark is the sum
             # of its tracked task inputs.
             self.record_memory(stage, tracked_bytes)
-        if stage.startswith(("SkylineLocal", "SkylineGlobal")):
-            self.note_first_batch()
         return results
 
     def _merge_faults(self, metrics: StageMetrics,
@@ -409,9 +382,8 @@ class ExecutionContext:
 
         The maximum over operators/stages of the tracked resident
         payload bytes (:meth:`record_memory`): batch-plane stages stamp
-        their task input bytes, the pipelined executor accounts its
-        queues, windows and in-flight morsels.  ``None`` when nothing
-        was tracked (row plane, metric-only contexts).
+        their task input bytes.  ``None`` when nothing was tracked (row
+        plane, metric-only contexts).
         """
         if not self.operator_peaks:
             return None
@@ -422,8 +394,7 @@ class ExecutionContext:
 
         On the real parallel backends (thread/process) with tracked
         payload bytes available this reports the true high-water mark
-        (:meth:`tracked_peak_mb`) -- what the pipelined executor's
-        memory gate measures.  Otherwise it falls back to the paper's
+        (:meth:`tracked_peak_mb`).  Otherwise it falls back to the paper's
         simulated Appendix-C model below, which remains the quantity
         the figure benchmarks plot (the local backend always simulates,
         keeping those curves stable).
@@ -489,12 +460,10 @@ class ExecutionContext:
             "real_time_s": self.real_time_s(),
             "peak_memory_mb": self.peak_memory_mb(),
             "tracked_peak_mb": self.tracked_peak_mb(),
-            "time_to_first_batch_s": self.time_to_first_batch_s,
             "total_task_time_s": self.total_task_time_s(),
             "dominance_comparisons": self.dominance_comparisons,
             "faults": self.fault_stats.as_dict(),
             "global_merge": self.global_merge,
-            "pipeline": self.pipeline,
             "stages": [
                 {
                     "name": s.name,

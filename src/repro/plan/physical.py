@@ -111,18 +111,6 @@ class PhysicalPlan:
     #: EXPLAIN/execution; purely informational.
     transport: "str | None" = None
 
-    #: Physical execution mode of the local skyline chain this operator
-    #: belongs to: ``"pipelined"`` (morsel-driven overlap, stamped down
-    #: the scan -> local chain by the planner), ``"staged"`` (only
-    #: stamped when the session *forces* staged execution), or ``None``
-    #: (the unmarked staged default).
-    execution: "str | None" = None
-
-    #: Per-operator memory budget (MB) for the pipelined executor;
-    #: stamped onto the local skyline exec by the planner.  ``None``
-    #: means the executor's built-in default.
-    operator_memory_mb: "float | None" = None
-
     def __init__(self) -> None:
         self.node_id = next(_node_ids)
 
@@ -147,8 +135,6 @@ class PhysicalPlan:
         tag = f" [{self.exec_mode}]"
         if self.transport is not None and self.exec_mode == "batch":
             tag += f" [{self.transport}]"
-        if self.execution is not None:
-            tag += f" [{self.execution}]"
         return tag
 
     def stage_name(self, suffix: str = "") -> str:
@@ -991,20 +977,6 @@ class _SkylineExec(PhysicalPlan):
             return f"vectorized {algorithm}"
         return algorithm
 
-    def _pipelined_local(self, ctx: ExecutionContext
-                         ) -> "RDD | BatchRDD | None":
-        """The morsel-driven execution of this local operator's chain.
-
-        Returns ``None`` when the operator is not stamped for pipelined
-        execution or the chain has a shape the pipelined executor does
-        not support (recorded in ``ctx.pipeline``), in which case the
-        caller proceeds with the staged path.
-        """
-        if self.execution != "pipelined":
-            return None
-        from ..engine.pipeline import run_pipelined_local
-        return run_pipelined_local(self, ctx)
-
     # -- hierarchical global merge (tournament tree) ---------------------
 
     def _merge_tag(self) -> str:
@@ -1330,9 +1302,6 @@ class SkylineLocalExec(_SkylineExec):
     batch_kernel_attr = "local_bnl_batch"
 
     def execute(self, ctx: ExecutionContext) -> "RDD | BatchRDD":
-        pipelined = self._pipelined_local(ctx)
-        if pipelined is not None:
-            return pipelined
         child_out = self._resident_child(ctx)
         batches = self._batch_input(child_out)
         if batches is not None:
@@ -1414,9 +1383,6 @@ class SkylineLocalIncompleteExec(_SkylineExec):
         return [merged.take(indices) for indices in groups.values()]
 
     def execute(self, ctx: ExecutionContext) -> "RDD | BatchRDD":
-        pipelined = self._pipelined_local(ctx)
-        if pipelined is not None:
-            return pipelined
         child_out = self._resident_child(ctx)
         stage = self.stage_name()
         dims = self.dims
@@ -1493,9 +1459,6 @@ class SkylineLocalSFSExec(_SkylineExec):
     batch_kernel_attr = "local_sfs_batch"
 
     def execute(self, ctx: ExecutionContext) -> "RDD | BatchRDD":
-        pipelined = self._pipelined_local(ctx)
-        if pipelined is not None:
-            return pipelined
         child_out = self._resident_child(ctx)
         batches = self._batch_input(child_out)
         if batches is not None:

@@ -48,12 +48,6 @@ _PARTITIONABLE = ("distributed-complete", "sfs")
 #: dominance is not transitive -- incomplete data, nullable dims).
 GLOBAL_MERGE_STRATEGIES = ("auto", "flat", "hierarchical")
 
-#: Valid values of the ``execution`` session option: ``staged`` runs
-#: the bulk-synchronous operator barriers, ``pipelined`` the
-#: morsel-driven overlapping executor (:mod:`repro.engine.pipeline`),
-#: and ``auto`` lets the cost model pick per skyline operator.
-EXECUTION_MODES = ("staged", "pipelined", "auto")
-
 
 class Planner:
     """Lowers logical plans to physical plans.
@@ -76,10 +70,7 @@ class Planner:
                  vectorized: bool = False,
                  columnar: bool = False,
                  global_merge: str = "auto",
-                 merge_fan_in: int | None = None,
-                 execution: str = "auto",
-                 operator_memory_mb: float | None = None,
-                 backend: str = "local") -> None:
+                 merge_fan_in: int | None = None) -> None:
         if skyline_strategy not in SKYLINE_STRATEGIES:
             raise PlanningError(
                 f"unknown skyline strategy {skyline_strategy!r}; expected "
@@ -94,12 +85,6 @@ class Planner:
                 f"expected one of {GLOBAL_MERGE_STRATEGIES}")
         if merge_fan_in is not None and merge_fan_in < 2:
             raise PlanningError("merge_fan_in must be >= 2")
-        if execution not in EXECUTION_MODES:
-            raise PlanningError(
-                f"unknown execution mode {execution!r}; expected one "
-                f"of {EXECUTION_MODES}")
-        if operator_memory_mb is not None and operator_memory_mb <= 0:
-            raise PlanningError("operator_memory_mb must be > 0")
         self.skyline_strategy = skyline_strategy
         self.catalog = catalog
         self.num_executors = num_executors
@@ -117,23 +102,12 @@ class Planner:
         #: optional forced fan-in for the hierarchical merge tree.
         self.global_merge = global_merge
         self.merge_fan_in = merge_fan_in
-        #: Execution mode ("staged"/"pipelined"/"auto"), the pipelined
-        #: per-operator memory budget, and the backend name the cost
-        #: model consults (pipelining never pays on the sequential
-        #: local backend).
-        self.execution = execution
-        self.operator_memory_mb = operator_memory_mb
-        self.backend = backend
         #: One entry per planned skyline operator, in plan order.
         self.decisions: list = []
         #: One :class:`~repro.plan.cost.MergeDecision` per planned
         #: skyline operator, in plan order (EXPLAIN's Global Merge
         #: section).
         self.merge_decisions: list = []
-        #: One :class:`~repro.plan.cost.ExecutionDecision` per planned
-        #: skyline operator, in plan order (EXPLAIN's Execution
-        #: section).
-        self.execution_decisions: list = []
 
     def settings_key(self) -> tuple:
         """Hashable snapshot of every planning-relevant setting.
@@ -147,8 +121,7 @@ class Planner:
         return (self.skyline_strategy, self.num_executors,
                 self.max_workers, self.partitioning, self.num_partitions,
                 self.vectorized, self.columnar, self.global_merge,
-                self.merge_fan_in, self.execution,
-                self.operator_memory_mb, self.backend)
+                self.merge_fan_in)
 
     # -- entry point ------------------------------------------------------
 
@@ -249,8 +222,7 @@ class Planner:
 
     def _plan_skyline(self, node: L.SkylineOperator) -> P.PhysicalPlan:
         from .cost import (CostModel, applied_decision,
-                           choose_execution_mode, choose_global_merge,
-                           estimate_input_rows)
+                           choose_global_merge, estimate_input_rows)
 
         child = self.plan(node.child)
         items = node.skyline_items
@@ -301,32 +273,6 @@ class Planner:
             dimensions_nullable=node.dimensions_nullable,
             forced=self.global_merge, fan_in=self.merge_fan_in)
         self.merge_decisions.append(merge)
-        exec_decision = choose_execution_mode(
-            strategy, backend=self.backend, estimated_rows=est_rows,
-            operator_memory_mb=self.operator_memory_mb,
-            forced=self.execution)
-        self.execution_decisions.append(exec_decision)
-
-        def stamp(local: P.PhysicalPlan) -> P.PhysicalPlan:
-            """Mark the local chain with the chosen execution mode.
-
-            Pipelined stamps the whole scan -> ... -> local chain
-            (every operator participates in the morsel pipeline); a
-            *forced* staged session stamps the local exec only.  The
-            auto-resolved staged default stays unmarked so EXPLAIN
-            output is unchanged for existing sessions.
-            """
-            if exec_decision.mode == "pipelined":
-                local.operator_memory_mb = self.operator_memory_mb
-                here: P.PhysicalPlan | None = local
-                while here is not None:
-                    here.execution = "pipelined"
-                    if isinstance(here, P.ScanExec) or not here.children:
-                        break
-                    here = here.children[0]
-            elif exec_decision.forced:
-                local.execution = "staged"
-            return local
 
         vectorized = self.vectorized
         if applies:
@@ -334,8 +280,8 @@ class Planner:
                 items, partitioning, applied_count, child,
                 cells_per_dimension=grid_cells, vectorized=vectorized)
         if strategy == "distributed-complete":
-            local = stamp(P.SkylineLocalExec(items, node.distinct, child,
-                                             vectorized=vectorized))
+            local = P.SkylineLocalExec(items, node.distinct, child,
+                                       vectorized=vectorized)
             return P.SkylineGlobalCompleteExec(items, node.distinct, local,
                                                vectorized=vectorized,
                                                merge=merge)
@@ -344,14 +290,14 @@ class Planner:
                                                vectorized=vectorized,
                                                merge=merge)
         if strategy == "distributed-incomplete":
-            local = stamp(P.SkylineLocalIncompleteExec(
-                items, node.distinct, child, vectorized=vectorized))
+            local = P.SkylineLocalIncompleteExec(
+                items, node.distinct, child, vectorized=vectorized)
             return P.SkylineGlobalIncompleteExec(items, node.distinct, local,
                                                  vectorized=vectorized,
                                                  merge=merge)
         if strategy == "sfs":
-            local = stamp(P.SkylineLocalSFSExec(items, node.distinct, child,
-                                                vectorized=vectorized))
+            local = P.SkylineLocalSFSExec(items, node.distinct, child,
+                                          vectorized=vectorized)
             return P.SkylineGlobalSFSExec(items, node.distinct, local,
                                           vectorized=vectorized,
                                           merge=merge)

@@ -223,6 +223,8 @@ class SkylineResultCache:
         self.max_entries = max_entries
         self._entries: "OrderedDict[tuple, _Entry]" = OrderedDict()
         self._lock = threading.Lock()
+        #: Table -> catalog version of its latest mutation event.
+        self._event_versions: dict[str, int] = {}
         self.stats = CacheStats()
 
     def __len__(self) -> int:
@@ -313,7 +315,10 @@ class SkylineResultCache:
         the store is refused (returns ``False``) if any dimension value
         in it is NULL -- the containment rule is proved for complete
         data only, and with null-free dimensions the engine's complete
-        and incomplete algorithms agree.
+        and incomplete algorithms agree.  It is also refused when a
+        catalog event newer than ``version`` (the catalog version the
+        result was computed at) has touched the table: that event
+        invalidated nothing because the entry did not exist yet.
         """
         rows = [tuple(row) for row in rows]
         indices = shape.indices
@@ -342,6 +347,9 @@ class SkylineResultCache:
                        base_version=version
                        if base_values is not None else None)
         with self._lock:
+            if version is not None and \
+                    self._event_versions.get(shape.table, version) > version:
+                return False
             self._entries[shape.key] = entry
             self._entries.move_to_end(shape.key)
             self.stats.stores += 1
@@ -366,6 +374,7 @@ class SkylineResultCache:
     def on_catalog_event(self, event: CatalogEvent) -> None:
         """Catalog listener: incremental invalidation from DML deltas."""
         with self._lock:
+            self._event_versions[event.table] = event.version
             if event.kind in ("register", "drop"):
                 self._drop_table(event.table)
                 self._advance_others(event)

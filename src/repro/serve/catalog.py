@@ -86,7 +86,10 @@ class CatalogService:
     # -- the serving execution path ---------------------------------------
 
     def _plan_key(self, session: SkylineSession, sql: str) -> tuple:
+        # The backend is part of the key: prepared plans carry its
+        # transport stamps and shared-memory resident inputs.
         return (session._planner().settings_key(),
+                session._backend_spec.name,
                 session.enable_skyline_optimizations,
                 sql, self.catalog.version)
 

@@ -1,4 +1,4 @@
-"""Streaming skyline maintenance -- the incremental-dominance kernel.
+"""Streaming skyline maintenance.
 
 Section 7 of the paper names "integration into different Spark modules
 such as structured streaming" as desirable future work.  This module
@@ -8,32 +8,19 @@ accumulator (:class:`SkylineStream`) and as a micro-batch pipe
 (:meth:`SkylineStream.process_batch`) in the spirit of structured
 streaming's incremental queries.
 
-Since the pipelined executor landed (:mod:`repro.engine.pipeline`) this
-is no longer a side module: the pipelined local-skyline operator folds
-every morsel through a :class:`SkylineStream` window, restoring the
-running window from a :meth:`checkpoint` before each fold and
-checkpointing the survivors after it.  The ``dominance`` parameter is
-what makes that reuse possible for incomplete data: within one
-null-bitmap partition the restricted dominance test
-(:func:`repro.core.dominance.dominates_incomplete`) *is* transitive, so
-the operator streams null rows through the window directly instead of
-buffering them.
-
-Default semantics are complete-data only: with nulls, general dominance
-is not transitive, so dropping dominated tuples online would be
-incorrect (Appendix A); ``SkylineStream`` therefore rejects rows with
-nulls in skyline dimensions unless ``allow_nulls`` explicitly opts into
-buffering them (kept aside, skyline recomputed with the flag-based
-algorithm on demand -- correct, but with the cost profile Section 5.7
-describes) or an explicit ``dominance`` test takes responsibility for
-them.
+Complete-data semantics only: with nulls, dominance is not transitive,
+so dropping dominated tuples online would be incorrect (Appendix A);
+``SkylineStream`` therefore rejects rows with nulls in skyline
+dimensions unless ``allow_nulls`` explicitly opts into buffering them.
+In the buffering mode null rows are kept aside and the skyline is
+recomputed with the flag-based algorithm on demand -- correct, but with
+the cost profile Section 5.7 describes.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from .core.bnl import bnl_skyline
 from .core.dominance import (BoundDimension, dominates, equal_on_dimensions,
                              has_null_dimension)
 from .core.incomplete import flagged_global_skyline
@@ -52,48 +39,31 @@ class SkylineStream:
     Each :meth:`add` folds one row into the window in O(window) time;
     :meth:`current` returns the skyline of everything seen so far.
     ``distinct`` applies ``SKYLINE OF DISTINCT`` semantics.
-
-    ``dominance`` swaps the dominance test (default
-    :func:`repro.core.dominance.dominates`).  An explicit test also
-    disables the null check/buffering: the caller asserts the test is
-    transitive on its input -- e.g. ``dominates_incomplete`` over rows
-    sharing one null bitmap -- so null rows flow through the window like
-    any other row.
     """
 
     def __init__(self, dims: Sequence[BoundDimension],
                  distinct: bool = False,
-                 allow_nulls: bool = False,
-                 dominance: Callable[..., bool] | None = None) -> None:
+                 allow_nulls: bool = False) -> None:
         if not dims:
             raise ExecutionError("streaming skyline needs dimensions")
         self.dims = list(dims)
         self.distinct = distinct
         self.allow_nulls = allow_nulls
-        self._dominates = dominance if dominance is not None else dominates
-        self._custom_dominance = dominance is not None
         self._window: list[Sequence] = []
         self._null_buffer: list[Sequence] = []
         self.rows_seen = 0
         self.rows_dropped = 0
-        #: Dominance tests performed so far (the engine's
-        #: ``dominance_comparisons`` metric for pipelined folds).
-        self.comparisons = 0
-        #: High-water mark of the window size (plus buffered nulls).
-        self.window_peak = 0
 
     def add(self, row: Sequence) -> bool:
         """Fold one row in; returns True if it (currently) survives."""
         self.rows_seen += 1
-        if not self._custom_dominance and \
-                has_null_dimension(row, self.dims):
+        if has_null_dimension(row, self.dims):
             if not self.allow_nulls:
                 raise ExecutionError(
                     "null in a skyline dimension of a streaming row; "
                     "construct the stream with allow_nulls=True to "
                     "buffer incomplete rows")
             self._null_buffer.append(row)
-            self._note_peak()
             return True
         survivors: list[Sequence] = []
         dominated = False
@@ -101,12 +71,11 @@ class SkylineStream:
             if dominated:
                 survivors.append(candidate)
                 continue
-            self.comparisons += 1
-            if self._dominates(candidate, row, self.dims):
+            if dominates(candidate, row, self.dims):
                 dominated = True
                 survivors.append(candidate)
                 continue
-            if self._dominates(row, candidate, self.dims):
+            if dominates(row, candidate, self.dims):
                 self.rows_dropped += 1
                 continue
             if self.distinct and equal_on_dimensions(row, candidate,
@@ -118,13 +87,7 @@ class SkylineStream:
             self.rows_dropped += 1
             return False
         self._window.append(row)
-        self._note_peak()
         return True
-
-    def _note_peak(self) -> None:
-        size = len(self._window) + len(self._null_buffer)
-        if size > self.window_peak:
-            self.window_peak = size
 
     def add_all(self, rows: Iterable[Sequence]) -> None:
         for row in rows:
@@ -185,9 +148,7 @@ class SkylineStream:
     @classmethod
     def restore(cls, dims: Sequence[BoundDimension], state: dict,
                 distinct: bool | None = None,
-                allow_nulls: bool | None = None,
-                dominance: Callable[..., bool] | None = None
-                ) -> "SkylineStream":
+                allow_nulls: bool | None = None) -> "SkylineStream":
         """Rebuild a stream from :meth:`checkpoint` output.
 
         Mode flags default to the values recorded in the checkpoint
@@ -199,22 +160,9 @@ class SkylineStream:
             distinct = bool(state.get("distinct", False))
         if allow_nulls is None:
             allow_nulls = bool(state.get("allow_nulls", False))
-        stream = cls(dims, distinct=distinct, allow_nulls=allow_nulls,
-                     dominance=dominance)
+        stream = cls(dims, distinct=distinct, allow_nulls=allow_nulls)
         stream._window = [tuple(r) for r in state["window"]]
         stream._null_buffer = [tuple(r) for r in state["null_buffer"]]
         stream.rows_seen = state["rows_seen"]
         stream.rows_dropped = state["rows_dropped"]
-        stream._note_peak()
         return stream
-
-
-def skyline_of_stream(rows: Iterable[Sequence],
-                      dims: Sequence[BoundDimension],
-                      distinct: bool = False) -> list[Sequence]:
-    """One-shot convenience: the skyline of a finite stream.
-
-    Equivalent to :func:`repro.core.bnl.bnl_skyline`; provided so stream
-    producers and batch callers share an entry point.
-    """
-    return bnl_skyline(list(rows), dims, distinct=distinct)

@@ -111,6 +111,20 @@ class TestSessionConfig:
         # identical otherwise (both resolve to the pickled transport).
         assert (on != off) == shared_memory_available()
 
+    def test_option_set(self):
+        """The complete set of session options: a new field is a new
+        configuration axis for every test and benchmark to cover."""
+        import dataclasses
+        assert [f.name for f in dataclasses.fields(SessionConfig)] == [
+            "num_executors", "skyline_algorithm", "adaptive",
+            "skyline_partitioning", "skyline_partitions",
+            "enable_skyline_optimizations", "cluster_config", "backend",
+            "num_workers", "vectorized", "columnar", "time_budget_s",
+            "max_task_retries", "task_timeout_s", "retry_backoff_s",
+            "global_merge", "merge_fan_in", "shared_memory"]
+        with pytest.raises(TypeError):
+            SessionConfig(execution="staged")
+
 
 class TestConnect:
     def test_connect_returns_session(self):

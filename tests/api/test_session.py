@@ -93,6 +93,35 @@ class TestQueryExecution:
         assert "Skyline" in text
 
 
+class TestFrontDoorTypes:
+    """The plan entry points reject SQL text (and any other non-plan)
+    with a typed error that names the type and points at
+    ``session.sql``."""
+
+    NON_PLANS = ["SELECT name FROM hotels SKYLINE OF price MIN", None, 42,
+                 {"plan": "hotels"}]
+
+    @staticmethod
+    def _expect_rejection(entry_point, argument):
+        from repro.errors import AnalysisError
+        name = type(argument).__name__
+        with pytest.raises(AnalysisError,
+                           match=rf"got {name}\b.*session\.sql"):
+            entry_point(argument)
+
+    @pytest.mark.parametrize("argument", NON_PLANS)
+    def test_execute_rejects_non_plan(self, hotels_session, argument):
+        self._expect_rejection(hotels_session.execute, argument)
+
+    @pytest.mark.parametrize("argument", NON_PLANS)
+    def test_explain_rejects_non_plan(self, hotels_session, argument):
+        self._expect_rejection(hotels_session.explain, argument)
+
+    @pytest.mark.parametrize("argument", NON_PLANS)
+    def test_prepare_rejects_non_plan(self, hotels_session, argument):
+        self._expect_rejection(hotels_session.prepare, argument)
+
+
 class TestBackendConfiguration:
     def test_unknown_backend_rejected_eagerly(self):
         with pytest.raises(ValueError):

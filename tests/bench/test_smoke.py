@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.bench import backends_sweep, format_backend_table
 from repro.bench.smoke import main, measure_speedup, run_smoke
 from repro.core.algorithms import Algorithm
@@ -50,6 +52,17 @@ class TestCli:
         import pytest
         with pytest.raises(SystemExit):
             main([])
+
+    @pytest.mark.parametrize("flags", [
+        ["--pipeline"], ["--min-pipeline-speedup", "1.0"],
+        ["--min-ttfb-speedup", "1.0"], ["--max-pipeline-rss-mb", "100"]])
+    def test_removed_execution_flags_are_rejected(self, flags, capsys):
+        """Every query runs staged: the options of the deleted executor
+        comparison are usage errors, not silently ignored."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--smoke", *flags])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestBackendTable:

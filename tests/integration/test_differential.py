@@ -358,3 +358,41 @@ def test_shared_memory_prepared_inputs_stay_resident():
         assert any(row[0] == -1 for row in third.rows)
     finally:
         session.close()
+
+
+# -- staged execution on parallel backends ---------------------------------
+
+
+def test_large_thread_backend_query_matches_local_staged():
+    """A 5000-row query on a parallel backend runs the same staged
+    local -> global chain as the sequential local backend and returns
+    exactly the same rows."""
+    from repro import SessionConfig
+    big_rows = _random_rows(5000, 1)
+    columns = [("id", INTEGER, False), ("a", DOUBLE, False),
+               ("b", DOUBLE, False), ("c", DOUBLE, False)]
+    answers = []
+    for config in (SessionConfig(num_executors=3),
+                   SessionConfig(num_executors=3, backend="thread",
+                                 num_workers=2)):
+        with SkylineSession(config=config) as session:
+            session.create_table("t", columns, big_rows)
+            answers.append(sorted(session.sql(SQL3).to_tuples(), key=repr))
+    assert answers[0] == answers[1]
+
+
+@pytest.mark.parametrize("backend_name", ("thread", "process"))
+def test_batch_plane_tracks_operator_peaks(backend_name, shared_backends):
+    """Batch-plane stages on a real parallel backend feed the tracked
+    per-operator high-water marks, and those -- not the simulated
+    Appendix-C model -- are what ``peak_memory_mb`` reports."""
+    session = _make_session(COMPLETE_ROWS, False, "distributed-complete",
+                            "keep", shared_backends[backend_name](),
+                            "auto", columnar=True)
+    result = session.sql(SQL3).run()
+    assert sorted(result.as_tuples(), key=repr) == COMPLETE_ORACLE
+    context = result.context
+    assert context.operator_peaks
+    assert any(name.startswith("SkylineLocal")
+               for name in context.operator_peaks)
+    assert context.peak_memory_mb() == context.tracked_peak_mb()

@@ -238,6 +238,67 @@ class TestInvalidation:
         assert sorted(hot.as_tuples()) == oracle(
             POINTS, [(1, DimensionKind.MIN), (2, DimensionKind.MIN)])
 
+    def test_dml_racing_store_is_not_cached(self, service, monkeypatch):
+        """An insert that lands after the caller's catalog-version check
+        but before ``store`` takes its lock must not leave a stale entry
+        behind for later exact hits."""
+        import repro.serve.cache as cache_module
+
+        columnize = cache_module._oriented_values
+        dominating = (99, 0.5, 0.5, 0.5)
+        pending = [dominating]
+
+        def insert_then_columnize(rows, bdims):
+            # The first columnization happens inside store(), before it
+            # takes the cache lock: run the DML right there.
+            if pending:
+                service.catalog.insert_into("pts", [pending.pop()])
+            return columnize(rows, bdims)
+
+        monkeypatch.setattr(cache_module, "_oriented_values",
+                            insert_then_columnize)
+        run(service, self.FULL)
+        assert not pending
+        out = run(service, self.FULL)
+        assert not out.cache_hit
+        assert sorted(out.as_tuples()) == oracle(
+            POINTS + [dominating],
+            [(1, DimensionKind.MIN), (2, DimensionKind.MIN),
+             (3, DimensionKind.MIN)])
+
+    def _store_at(self, service, version) -> bool:
+        """Store the FULL skyline of the current table at ``version``."""
+        session = service.session_for()
+        prepared = session.prepare(session.sql(self.FULL).plan)
+        rows = list(service.catalog.lookup("pts").rows)
+        return service.result_cache.store(
+            cacheable_shape(prepared.optimized),
+            [row.as_tuple() for row in
+             session.execute_prepared(prepared).rows],
+            prepared.schema, table_rows=rows, version=version)
+
+    def test_store_older_than_last_table_event_is_refused(self, service):
+        stale = service.catalog.version
+        service.catalog.insert_into("pts", [(99, 9.5, 9.5, 9.5)])
+        assert not self._store_at(service, stale)
+        assert len(service.result_cache) == 0
+        assert self._store_at(service, service.catalog.version)
+        assert len(service.result_cache) == 1
+
+    def test_store_older_than_table_reregistration_is_refused(self,
+                                                              service):
+        stale = service.catalog.version
+        service.session_for().create_table("pts", COLUMNS, POINTS)
+        assert not self._store_at(service, stale)
+        assert not run(service, self.FULL).cache_hit
+
+    def test_store_ignores_events_on_other_tables(self, service):
+        service.session_for().create_table("other", COLUMNS, POINTS[:3])
+        version = service.catalog.version
+        service.catalog.insert_into("other", [(99, 1.0, 1.0, 1.0)])
+        assert self._store_at(service, version)
+        assert run(service, self.FULL).cache_hit
+
 
 class TestNullSafety:
     def test_null_dimension_table_never_cached(self):

@@ -1,12 +1,15 @@
 """Streaming skyline maintenance (Section 7 future work)."""
 
+import json
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import bnl_skyline, make_dimensions
 from repro.errors import ExecutionError
-from repro.streaming import SkylineStream, skyline_of_stream
+from repro.streaming import SkylineStream
 from tests.conftest import skyline_oracle
 
 MIN2 = make_dimensions([(0, "min"), (1, "min")])
@@ -111,6 +114,31 @@ class TestCheckpointing:
         restored.add((0, 0))
         assert (0, 0) in restored.current()
 
+    @pytest.mark.parametrize("batch_size", (1, 7, 50, 500))
+    @pytest.mark.parametrize("nullable", (False, True))
+    def test_restart_between_micro_batches_is_transparent(self, batch_size,
+                                                          nullable):
+        """Checkpointing through JSON and restoring (mode flags taken
+        from the checkpoint) after every micro-batch must leave the
+        skyline of the whole stream unchanged."""
+        rng = random.Random(batch_size)
+
+        def value():
+            if nullable and rng.random() < 0.2:
+                return None
+            return rng.randint(0, 40)
+
+        rows = [(value(), value()) for _ in range(500)]
+        stream = SkylineStream(MIN2, allow_nulls=nullable)
+        for start in range(0, len(rows), batch_size):
+            stream.process_batch(rows[start:start + batch_size])
+            state = json.loads(json.dumps(stream.checkpoint()))
+            stream = SkylineStream.restore(MIN2, state)
+        assert stream.rows_seen == len(rows)
+        expected = skyline_oracle(rows, MIN2, complete=not nullable)
+        assert sorted(stream.current(), key=repr) == \
+            sorted(expected, key=repr)
+
 
 class TestNullBuffering:
     """The ``allow_nulls=True`` buffering path (Section 5.7 cost
@@ -213,17 +241,6 @@ class TestNullBuffering:
         with pytest.raises(ExecutionError, match="allow_nulls"):
             restored.add((None, 1))
 
-    def test_incomplete_dominance_streams_nulls_through_window(self):
-        """The pipelined incomplete fold path: an explicit restricted
-        dominance test lets null rows flow through the window (no
-        buffering) -- sound within one null-bitmap partition."""
-        from repro.core.dominance import dominates_incomplete
-        stream = SkylineStream(MIN2, dominance=dominates_incomplete)
-        stream.add_all([(None, 2), (None, 1), (None, 3)])
-        assert stream.window_size == 1
-        assert stream.current() == [(None, 1)]
-        assert stream.comparisons > 0
-
 
 class TestStreamMatchesBatchEngine:
     """SkylineStream and the batch engine must agree on the same row
@@ -262,9 +279,3 @@ class TestStreamMatchesBatchEngine:
             stream.process_batch(rows[start:start + 8])
         assert sorted(stream.current()) == \
             sorted(self._engine_skyline(rows))
-
-
-class TestOneShotHelper:
-    def test_skyline_of_stream(self):
-        rows = [(2, 2), (1, 1), (1, 3)]
-        assert sorted(skyline_of_stream(iter(rows), MIN2)) == [(1, 1)]
